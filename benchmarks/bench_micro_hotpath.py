@@ -4,11 +4,15 @@ Measures the vectorized :class:`~repro.core.location_table.LocationTable`
 batch operations against an equivalent scalar probe loop, plus the
 extraction pipeline's resolve and plan stages end-to-end, and writes the
 ``BENCH_hotpath.json`` artifact (per batch size: keys/sec per operation
-and the pipeline's per-stage wall-clock breakdown).
+and the pipeline's mean wall-clock seconds per call of each stage).  Two
+write-path rows ride along: one refresher step (4096 evictions + 4096
+insertions) batched vs the per-entry loop, and one drift-detector check
+over 50k entries, both as per-call means.
 
-Gate: the vectorized ``lookup_batch`` must be at least 10× the scalar
-baseline at batch sizes ≥ 4096 — the speedup the vectorization refactor
-exists to deliver.  The ``perf-smoke`` CI job runs exactly this file
+Gates: the vectorized ``lookup_batch`` must be at least 10× the scalar
+baseline at batch sizes ≥ 4096, and the batched refresh step at least
+10× the per-entry loop — the speedups those refactors exist to
+deliver.  The ``perf-smoke`` CI job runs exactly this file
 (``pytest benchmarks/bench_micro_hotpath.py -m perf``).
 """
 
@@ -22,9 +26,13 @@ import numpy as np
 import pytest
 
 from repro.core.cache import MultiGpuEmbeddingCache
+from repro.core.checksum import entry_checksum
+from repro.core.drift_adapt import DriftDetector
 from repro.core.extractor import FactoredExtractor
+from repro.core.filler import apply_diff_step, fill_gpu
 from repro.core.location_table import LocationTable
 from repro.core.policy import partition_policy
+from repro.core.refresher import RefreshConfig
 from repro.hardware import server_c
 from repro.obs import PIPELINE_STAGES, MetricsRegistry, use_registry
 from repro.utils.stats import zipf_pmf
@@ -37,6 +45,9 @@ MIN_SPEEDUP_AT_4096 = 10.0
 # The generalized tier code on a one-tier chain may cost at most this
 # much resolve+price throughput versus the pre-tier baseline path.
 MAX_TIER_REGRESSION = 0.10
+# A batched refresh step must move entries at least this many times
+# faster than the per-entry loop it replaced.
+MIN_REFRESH_SPEEDUP = 10.0
 
 
 def _best_of(fn, repeats: int = 5) -> float:
@@ -105,20 +116,19 @@ def _bench_pipeline(rng) -> list[dict]:
             t_plan = _best_of(lambda: plan_extraction(cache, 0, keys))
             extractor.plan(0, keys)  # the facade adds the legacy timers
         metrics = registry.snapshot()["metrics"]
-        stage_seconds = {
-            stage: sum(
-                m["sum"]
-                for m in metrics
-                if m["name"] == f"pipeline.{stage}.seconds"
+        stage_seconds = {}
+        for stage in PIPELINE_STAGES:
+            timed = [m for m in metrics if m["name"] == f"pipeline.{stage}.seconds"]
+            calls = sum(m["count"] for m in timed)
+            stage_seconds[stage] = (
+                sum(m["sum"] for m in timed) / calls if calls else 0.0
             )
-            for stage in PIPELINE_STAGES
-        }
         rows.append(
             {
                 "batch_size": batch,
                 "resolve_keys_per_sec": batch / t_resolve,
                 "plan_keys_per_sec": batch / t_plan,
-                "stage_seconds": stage_seconds,
+                "stage_seconds_per_call": stage_seconds,
             }
         )
     return rows
@@ -192,19 +202,88 @@ def _bench_tier_pricing(rng) -> list[dict]:
     return rows
 
 
+def _per_entry_step(store, table, evict, insert) -> None:
+    """The per-entry refresh step the batched one replaced: one arena
+    call, one checksum and one map write per entry."""
+    for entry in evict:
+        slot = int(store.offset_of[entry])
+        store.arena.free(slot)
+        store.checksums[slot] = 0
+        store.offset_of[entry] = -1
+    for entry in insert:
+        slot = store.arena.allocate()
+        store.data[slot] = table[entry]
+        store.checksums[slot] = entry_checksum(table[entry])
+        store.offset_of[entry] = slot
+
+
+def _mean_step_seconds(step, store, table, out, back, calls: int) -> float:
+    """Mean wall time of ``step`` moving ``out`` → ``back``; an untimed
+    batched step moves the store back between calls."""
+    total = 0.0
+    for _ in range(calls):
+        start = time.perf_counter()
+        step(store, table, out, back)
+        total += time.perf_counter() - start
+        apply_diff_step(store, table, back, out)
+    return total / calls
+
+
+def _bench_refresh(rng) -> dict:
+    """One refresher step at the default batch: 4096 evictions, 4096
+    insertions, batched vs the per-entry loop (per-call means)."""
+    step = RefreshConfig().update_batch_entries
+    table = rng.standard_normal((TABLE_ENTRIES, 16)).astype(np.float32)
+    ids = rng.permutation(TABLE_ENTRIES)[: 3 * step].astype(np.int64)
+    cached, fresh = ids[: 2 * step], ids[2 * step:]
+    store = fill_gpu(0, table, cached, capacity_entries=2 * step)
+    out = np.sort(rng.choice(cached, size=step, replace=False))
+    batched = _mean_step_seconds(apply_diff_step, store, table, out, fresh, 10)
+    looped = _mean_step_seconds(_per_entry_step, store, table, out, fresh, 3)
+    moved = 2 * step
+    return {
+        "evict_entries": step,
+        "insert_entries": step,
+        "batched_entries_per_sec": moved / batched,
+        "per_entry_entries_per_sec": moved / looped,
+        "speedup": looped / batched,
+    }
+
+
+def _bench_detector(rng) -> dict:
+    """Mean wall time of one drift-detector check over 50k entries."""
+    entries, calls = 50_000, 20
+    snapshot = zipf_pmf(entries, 1.1) * 1024.0
+    live = np.roll(snapshot, entries // 100) + rng.random(entries) * 1e-3
+    detector = DriftDetector(snapshot)
+    detector.check(live)  # pays the one-off scipy.stats import
+    start = time.perf_counter()
+    for i in range(calls):
+        detector.check(live, at=float(i), batches=64)
+    return {
+        "entries": entries,
+        "check_us": (time.perf_counter() - start) / calls * 1e6,
+    }
+
+
 @pytest.mark.perf
 def bench_micro_hotpath():
     rng = np.random.default_rng(0)
     location_rows = _bench_location_table(rng)
     pipeline_rows = _bench_pipeline(rng)
     tier_rows = _bench_tier_pricing(rng)
+    refresh = _bench_refresh(rng)
+    detector = _bench_detector(rng)
     doc = {
         "table_entries": TABLE_ENTRIES,
         "min_speedup_at_4096": MIN_SPEEDUP_AT_4096,
         "max_tier_regression": MAX_TIER_REGRESSION,
+        "min_refresh_speedup": MIN_REFRESH_SPEEDUP,
         "location_table": location_rows,
         "pipeline": pipeline_rows,
         "tier_pricing": tier_rows,
+        "refresh": refresh,
+        "detector": detector,
     }
     ARTIFACT.write_text(json.dumps(doc, indent=1) + "\n")
     for row in location_rows:
@@ -245,3 +324,19 @@ def bench_micro_hotpath():
         by_chain["dram+ssd"]["est_batch_seconds"]
         > by_chain["dram"]["est_batch_seconds"]
     )
+    print(
+        f"refresh step ({refresh['evict_entries']} out, "
+        f"{refresh['insert_entries']} in): batched "
+        f"{refresh['batched_entries_per_sec'] / 1e6:.2f} M entries/s, "
+        f"per-entry {refresh['per_entry_entries_per_sec'] / 1e3:.0f} K "
+        f"entries/s ({refresh['speedup']:.0f}x)"
+    )
+    print(
+        f"detector check at {detector['entries']} entries: "
+        f"{detector['check_us']:.0f} us"
+    )
+    assert refresh["speedup"] >= MIN_REFRESH_SPEEDUP, (
+        f"batched refresh step only {refresh['speedup']:.1f}x the "
+        f"per-entry loop"
+    )
+    assert detector["check_us"] > 0

@@ -55,7 +55,10 @@ def row_checksums(values: np.ndarray) -> np.ndarray:
     raw = arr.view(np.uint8).reshape(n, -1)
     w = _weights(raw.shape[1])
     with np.errstate(over="ignore"):
-        return (raw.astype(np.uint64) * w).sum(axis=1, dtype=np.uint64)
+        # einsum multiplies and sums in uint64 without materializing a
+        # (rows, bytes) uint64 temporary — a refresh step checksums
+        # thousands of rows at once.
+        return np.einsum("ij,j->i", raw, w)
 
 
 def entry_checksum(values: np.ndarray) -> np.uint64:

@@ -42,6 +42,7 @@ __all__ = [
     "StreamingHotnessEstimator",
     "hot_set_jaccard",
     "rank_correlation",
+    "top_k_indices",
 ]
 
 
@@ -165,16 +166,29 @@ class StreamingHotnessEstimator(HotnessTracker):
 # ---------------------------------------------------------------------------
 
 
-def hot_set_jaccard(
-    live: np.ndarray, snapshot: np.ndarray, top_frac: float = 0.01
-) -> float:
-    """Jaccard overlap of the two estimates' hottest ``top_frac`` entries.
+def top_k_indices(x: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the ``k`` largest entries of ``x`` (NaN-free),
+    ties broken toward the lowest index.
 
-    This is :func:`~repro.dlr.drift.hot_set_overlap`'s §2 stability
-    metric, applied to hotness vectors instead of workloads: 1.0 means
-    the live head is exactly the solved policy's head, 0.0 means the
-    cache is hot for yesterday's traffic.
+    The same set as ``np.argsort(-x, kind="stable")[:k]`` in O(n): one
+    ``np.partition`` finds the k-th largest value, every entry above it
+    is in, and the lowest-indexed entries equal to it fill the rest.
     """
+    n = len(x)
+    if k >= n:
+        return np.arange(n)
+    if k <= 0:
+        return np.empty(0, dtype=np.intp)
+    kth = np.partition(x, n - k)[n - k]
+    above = np.flatnonzero(x > kth)
+    tied = np.flatnonzero(x == kth)[: k - len(above)]
+    return np.sort(np.concatenate((above, tied)))
+
+
+def _heads(
+    live: np.ndarray, snapshot: np.ndarray, top_frac: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validated float vectors and their hottest ``top_frac`` index sets."""
     if not 0 < top_frac <= 1:
         raise ValueError("top_frac must be in (0, 1]")
     live = np.asarray(live, dtype=np.float64)
@@ -182,32 +196,23 @@ def hot_set_jaccard(
     if live.shape != snapshot.shape:
         raise ValueError("live and snapshot hotness must align")
     k = max(1, int(top_frac * len(live)))
-    top_live = set(np.argsort(-live, kind="stable")[:k].tolist())
-    top_snap = set(np.argsort(-snapshot, kind="stable")[:k].tolist())
-    union = top_live | top_snap
+    return live, snapshot, top_k_indices(live, k), top_k_indices(snapshot, k)
+
+
+def _jaccard_of_heads(top_live: np.ndarray, top_snap: np.ndarray) -> float:
+    inter = len(np.intersect1d(top_live, top_snap, assume_unique=True))
+    union = len(top_live) + len(top_snap) - inter
     if not union:
         return 1.0
-    return len(top_live & top_snap) / len(union)
+    return inter / union
 
 
-def rank_correlation(
-    live: np.ndarray, snapshot: np.ndarray, top_frac: float = 0.01
+def _rank_corr_of_heads(
+    live: np.ndarray,
+    snapshot: np.ndarray,
+    top_live: np.ndarray,
+    top_snap: np.ndarray,
 ) -> float:
-    """Spearman rank correlation over the union of the two hot sets.
-
-    Restricting to the joint head keeps the statistic sensitive: over
-    the full table the huge all-but-unobserved cold tail dominates and
-    drowns any head rotation in tied near-zero ranks.
-    """
-    if not 0 < top_frac <= 1:
-        raise ValueError("top_frac must be in (0, 1]")
-    live = np.asarray(live, dtype=np.float64)
-    snapshot = np.asarray(snapshot, dtype=np.float64)
-    if live.shape != snapshot.shape:
-        raise ValueError("live and snapshot hotness must align")
-    k = max(1, int(top_frac * len(live)))
-    top_live = np.argsort(-live, kind="stable")[:k]
-    top_snap = np.argsort(-snapshot, kind="stable")[:k]
     union = np.union1d(top_live, top_snap)
     if len(union) < 3:
         return 1.0
@@ -221,6 +226,32 @@ def rank_correlation(
     if not np.isfinite(rho):
         return 1.0
     return float(rho)
+
+
+def hot_set_jaccard(
+    live: np.ndarray, snapshot: np.ndarray, top_frac: float = 0.01
+) -> float:
+    """Jaccard overlap of the two estimates' hottest ``top_frac`` entries.
+
+    This is :func:`~repro.dlr.drift.hot_set_overlap`'s §2 stability
+    metric, applied to hotness vectors instead of workloads: 1.0 means
+    the live head is exactly the solved policy's head, 0.0 means the
+    cache is hot for yesterday's traffic.
+    """
+    _, _, top_live, top_snap = _heads(live, snapshot, top_frac)
+    return _jaccard_of_heads(top_live, top_snap)
+
+
+def rank_correlation(
+    live: np.ndarray, snapshot: np.ndarray, top_frac: float = 0.01
+) -> float:
+    """Spearman rank correlation over the union of the two hot sets.
+
+    Restricting to the joint head keeps the statistic sensitive: over
+    the full table the huge all-but-unobserved cold tail dominates and
+    drowns any head rotation in tied near-zero ranks.
+    """
+    return _rank_corr_of_heads(*_heads(live, snapshot, top_frac))
 
 
 @dataclass(frozen=True)
@@ -305,6 +336,9 @@ class DriftDetector:
         self._snapshot = np.asarray(snapshot, dtype=np.float64).copy()
         if self._snapshot.ndim != 1 or self._snapshot.size == 0:
             raise ValueError("snapshot hotness must be a non-empty 1-D array")
+        self._k = max(1, int(self.config.top_frac * self._snapshot.size))
+        #: the snapshot's hot set — fixed until the next rebase.
+        self._snapshot_head = top_k_indices(self._snapshot, self._k)
         self._streak = 0
         self._cooldown = 0
         self.tape: list[DriftScore] = []
@@ -320,6 +354,7 @@ class DriftDetector:
         if snapshot.shape != self._snapshot.shape:
             raise ValueError("rebased snapshot must cover the same universe")
         self._snapshot = snapshot.copy()
+        self._snapshot_head = top_k_indices(self._snapshot, self._k)
         self._streak = 0
 
     def check(
@@ -334,8 +369,14 @@ class DriftDetector:
                 ``min_batches`` the window scores but cannot breach.
         """
         cfg = self.config
-        jac = hot_set_jaccard(live, self._snapshot, cfg.top_frac)
-        rho = rank_correlation(live, self._snapshot, cfg.top_frac)
+        live = np.asarray(live, dtype=np.float64)
+        if live.shape != self._snapshot.shape:
+            raise ValueError("live and snapshot hotness must align")
+        live_head = top_k_indices(live, self._k)
+        jac = _jaccard_of_heads(live_head, self._snapshot_head)
+        rho = _rank_corr_of_heads(
+            live, self._snapshot, live_head, self._snapshot_head
+        )
         warm = batches is None or batches >= cfg.min_batches
         breached = warm and (jac < cfg.jaccard_floor or rho < cfg.corr_floor)
 

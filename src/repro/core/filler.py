@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.checksum import entry_checksum, row_checksums
+from repro.core.checksum import row_checksums
 from repro.core.policy import Placement
-from repro.hardware.memory import SlotArena
+from repro.hardware.memory import OutOfDeviceMemory, SlotArena
+
+_NO_ENTRIES = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -41,22 +43,80 @@ class GpuCacheStore:
 
     def insert(self, entry: int, values: np.ndarray) -> int:
         """Cache one entry; returns its slot offset."""
-        if self.offset_of[entry] >= 0:
-            raise ValueError(f"entry {entry} already cached on GPU {self.gpu}")
-        slot = self.arena.allocate()
-        self.data[slot] = values
-        self.checksums[slot] = entry_checksum(values)
-        self.offset_of[entry] = slot
-        return slot
+        return int(self.insert_many([entry], np.reshape(values, (1, -1)))[0])
 
     def evict(self, entry: int) -> None:
         """Drop one entry, freeing its slot."""
-        slot = int(self.offset_of[entry])
-        if slot < 0:
-            raise ValueError(f"entry {entry} not cached on GPU {self.gpu}")
-        self.arena.free(slot)
-        self.checksums[slot] = 0
-        self.offset_of[entry] = -1
+        self.evict_many([entry])
+
+    def check_insertable(
+        self, entries: np.ndarray, freeing: np.ndarray = _NO_ENTRIES
+    ) -> None:
+        """Raise unless ``entries`` could be inserted once ``freeing`` (a
+        batch about to be evicted) is gone; changes nothing."""
+        entries = np.asarray(entries, dtype=np.int64)
+        cached = self.offset_of[entries] >= 0
+        if cached.any() and len(freeing):
+            cached &= ~np.isin(entries, freeing)
+        if cached.any():
+            raise ValueError(
+                f"entry {entries[cached][0]} already cached on GPU {self.gpu}"
+            )
+        if len(entries) > 1:
+            ordered = np.sort(entries)
+            twice = ordered[1:] == ordered[:-1]
+            if twice.any():
+                raise ValueError(
+                    f"entry {ordered[1:][twice][0]} inserted twice on GPU "
+                    f"{self.gpu}"
+                )
+        free = self.arena.free_slots + len(freeing)
+        if len(entries) > free:
+            raise OutOfDeviceMemory(
+                f"GPU {self.gpu}: {len(entries)} inserts, only {free} slots free"
+            )
+
+    def insert_many(
+        self,
+        entries: np.ndarray,
+        values: np.ndarray,
+        checksums: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Cache a batch of entries (all or nothing); returns their slots.
+
+        ``values`` holds one row per entry; ``checksums`` may carry
+        ``row_checksums(values)`` when the caller has already computed
+        it.  Slots are handed out exactly as one :meth:`insert` per entry,
+        in order, would hand them out.
+        """
+        entries = np.asarray(entries, dtype=np.int64)
+        if np.shape(values) != (len(entries),) + self.data.shape[1:]:
+            raise ValueError(
+                f"GPU {self.gpu}: need one {self.data.shape[1:]} value row "
+                f"per inserted entry, got {np.shape(values)}"
+            )
+        self.check_insertable(entries)
+        if checksums is None:
+            checksums = row_checksums(values)
+        slots = self.arena.allocate_many(len(entries))
+        self.data[slots] = values
+        self.checksums[slots] = checksums
+        self.offset_of[entries] = slots
+        return slots
+
+    def evict_many(self, entries: np.ndarray) -> None:
+        """Drop a batch of entries (all or nothing), freeing their slots."""
+        entries = np.asarray(entries, dtype=np.int64)
+        slots = self.offset_of[entries]
+        missing = slots < 0
+        if missing.any():
+            raise ValueError(
+                f"entry {entries[missing][0]} not cached on GPU {self.gpu}"
+            )
+        # Atomic: rejects a slot (hence an entry) listed twice.
+        self.arena.free_many(slots)
+        self.checksums[slots] = 0
+        self.offset_of[entries] = -1
 
     def read(self, entries: np.ndarray) -> np.ndarray:
         """Gather cached values for ``entries`` (all must be cached)."""
@@ -80,20 +140,16 @@ def fill_gpu(
         raise ValueError(
             f"GPU {gpu}: {len(entry_ids)} entries exceed capacity {capacity}"
         )
+    entry_ids = np.asarray(entry_ids, dtype=np.int64)
     slot_bytes = dim * table.itemsize
-    arena = SlotArena(capacity * slot_bytes, slot_bytes)
-    data = np.zeros((capacity, dim), dtype=table.dtype)
-    offset_of = np.full(num_entries, -1, dtype=np.int64)
-    checksums = np.zeros(capacity, dtype=np.uint64)
-    if len(entry_ids):
-        slots = np.asarray(arena.allocate_many(len(entry_ids)))
-        data[slots] = table[entry_ids]
-        checksums[slots] = row_checksums(table[entry_ids])
-        offset_of[entry_ids] = slots
-    return GpuCacheStore(
-        gpu=gpu, arena=arena, data=data, offset_of=offset_of,
-        checksums=checksums,
+    store = GpuCacheStore(
+        gpu=gpu,
+        arena=SlotArena(capacity * slot_bytes, slot_bytes),
+        data=np.zeros((capacity, dim), dtype=table.dtype),
+        offset_of=np.full(num_entries, -1, dtype=np.int64),
     )
+    store.insert_many(entry_ids, table[entry_ids])
+    return store
 
 
 def fill_all(
@@ -143,9 +199,19 @@ def apply_diff_step(
     evict: np.ndarray,
     insert: np.ndarray,
 ) -> None:
-    """Apply one small-batch update on one GPU (evictions before insertions,
-    so slots recycle and capacity is never exceeded mid-refresh)."""
-    for entry in np.asarray(evict):
-        store.evict(int(entry))
-    for entry in np.asarray(insert):
-        store.insert(int(entry), table[int(entry)])
+    """Apply one small-batch update on one GPU: one batched eviction, then
+    one batched insertion (so slots recycle and capacity is never exceeded
+    mid-refresh).
+
+    The step is atomic.  Every check that can reject it and every new
+    row's checksum runs before the first change to the store, and the
+    eviction validates its whole batch before it frees a slot, so a step
+    that raises leaves the store exactly as it found it.
+    """
+    evict = np.asarray(evict, dtype=np.int64)
+    insert = np.asarray(insert, dtype=np.int64)
+    store.check_insertable(insert, freeing=evict)
+    values = table[insert]
+    checksums = row_checksums(values)
+    store.evict_many(evict)
+    store.insert_many(insert, values, checksums)

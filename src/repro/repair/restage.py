@@ -216,11 +216,11 @@ class StagedRecovery:
         gpus, entries = block
         cache = self._cache
         with cache.writing():
-            for gpu, entry in zip(gpus, entries):
+            for gpu in np.unique(gpus):
                 store = cache.store(int(gpu))
-                entry = int(entry)
-                if store.offset_of[entry] < 0:
-                    store.insert(entry, cache.host_table[entry])
+                ids = entries[gpus == gpu]
+                ids = ids[store.offset_of[ids] < 0]
+                store.insert_many(ids, cache.host_table[ids])
         self._pending[entries] = False
         self.staged_log.append(entries.copy())
         self._next_block += 1

@@ -22,6 +22,9 @@ from repro.core.drift_adapt import (
     DriftDetector,
     DriftDetectorConfig,
     StreamingHotnessEstimator,
+    hot_set_jaccard,
+    rank_correlation,
+    top_k_indices,
 )
 from repro.core.evaluate import evaluate_placement
 from repro.core.solver import solve_policy_with_fallback, warm_start_policy
@@ -86,6 +89,55 @@ class TestEstimatorConvergence:
         slow_mass = slow.hotness()[new_head].sum()
         # the decayed estimator is closer to the new regime's truth.
         assert abs(fast_mass - expected) < abs(slow_mass - expected)
+
+
+def _argsort_head(x, k):
+    """The reference: a full stable argsort, hottest first."""
+    return np.sort(np.argsort(-x, kind="stable")[:k])
+
+
+class TestTopK:
+    """The O(n) hot-set helper picks exactly the stable argsort's head."""
+
+    @given(
+        values=st.one_of(
+            # integer counts: heavy ties at every rank
+            st.lists(st.integers(0, 3), min_size=1, max_size=60).map(
+                lambda v: np.array(v, dtype=np.float64)
+            ),
+            st.integers(1, 60).map(np.zeros),
+            st.lists(
+                st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=60
+            ).map(np.array),
+        ),
+        k=st.integers(1, 70),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_argsort(self, values, k):
+        got = top_k_indices(values, k)
+        assert got.tolist() == _argsort_head(values, k).tolist()
+
+    @pytest.mark.parametrize("k", [1, 5, 6, 100])
+    def test_edges(self, k):
+        values = np.array([2.0, 0.0, 2.0, 1.0, 2.0, 0.0])
+        assert top_k_indices(values, k).tolist() == (
+            _argsort_head(values, k).tolist()
+        )
+
+    def test_scores_unchanged_by_the_helper(self):
+        """Both public scores still agree with their argsort definitions."""
+        rng = np.random.default_rng(0)
+        live = rng.integers(0, 4, size=500).astype(np.float64)
+        snap = rng.integers(0, 4, size=500).astype(np.float64)
+        k = 25
+        a, b = set(_argsort_head(live, k)), set(_argsort_head(snap, k))
+        assert hot_set_jaccard(live, snap, 0.05) == len(a & b) / len(a | b)
+        union = np.union1d(list(a), list(b))
+        from scipy.stats import spearmanr
+
+        assert rank_correlation(live, snap, 0.05) == float(
+            spearmanr(live[union], snap[union]).statistic
+        )
 
 
 class TestDetectorFalsePositives:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.checksum import entry_checksum
 from repro.core.filler import (
     apply_diff_step,
     fill_all,
@@ -127,3 +130,86 @@ class TestApplyDiffStep:
         store = fill_gpu(0, table, np.array([1, 2]), capacity_entries=2)
         apply_diff_step(store, table, evict=np.array([1, 2]), insert=np.array([3, 4]))
         assert sorted(store.cached_entries().tolist()) == [3, 4]
+
+    def test_rejected_step_changes_nothing(self, table):
+        # Entry 2 is already cached, so the step must fail before it
+        # evicts entry 1: a half-applied step could not be rolled back.
+        store = fill_gpu(0, table, np.array([1, 2]), capacity_entries=3)
+        before = (store.offset_of.copy(), store.checksums.copy())
+        with pytest.raises(ValueError, match="entry 2 already cached"):
+            apply_diff_step(store, table, evict=np.array([1]), insert=np.array([5, 2]))
+        assert np.array_equal(store.offset_of, before[0])
+        assert np.array_equal(store.checksums, before[1])
+        assert store.arena.used_slots == 2
+
+    def test_step_may_reinsert_what_it_evicts(self, table):
+        store = fill_gpu(0, table, np.array([1, 2]), capacity_entries=2)
+        apply_diff_step(store, table, evict=np.array([1]), insert=np.array([1]))
+        assert np.array_equal(store.read(np.array([1, 2])), table[[1, 2]])
+
+
+def _reference_step(store, table, evict, insert):
+    """The obviously-correct per-entry loop: one arena call, one checksum
+    and one map write per entry, evictions first."""
+    for entry in evict:
+        slot = int(store.offset_of[entry])
+        assert slot >= 0
+        store.arena.free(slot)
+        store.checksums[slot] = 0
+        store.offset_of[entry] = -1
+    for entry in insert:
+        assert store.offset_of[entry] < 0
+        slot = store.arena.allocate()
+        store.data[slot] = table[entry]
+        store.checksums[slot] = entry_checksum(table[entry])
+        store.offset_of[entry] = slot
+
+
+@st.composite
+def _fill_and_steps(draw):
+    """A capacity, an initial fill and a sequence of valid diff steps."""
+    n = 40
+    capacity = draw(st.integers(1, 24))
+    cached = draw(
+        st.lists(st.integers(0, n - 1), unique=True, max_size=capacity)
+    )
+    state = set(cached)
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        evict = draw(st.permutations(sorted(state)))
+        evict = evict[: draw(st.integers(0, len(evict)))]
+        free = capacity - len(state) + len(evict)
+        # Anything not cached once the evictions land, including the
+        # entries this very step evicts.
+        candidates = sorted(set(range(n)) - state | set(evict))
+        insert = draw(st.permutations(candidates))
+        insert = insert[: draw(st.integers(0, min(free, len(insert))))]
+        state = (state - set(evict)) | set(insert)
+        steps.append((evict, insert))
+    return n, capacity, cached, steps
+
+
+class TestBatchedStepMatchesReference:
+    @given(case=_fill_and_steps())
+    @settings(max_examples=150, deadline=None)
+    def test_same_slots_values_and_reuse_order(self, case):
+        n, capacity, cached, steps = case
+        table = np.random.default_rng(n).standard_normal((n, 3)).astype(np.float32)
+        ids = np.array(cached, dtype=np.int64)
+        fast = fill_gpu(0, table, ids, capacity_entries=capacity)
+        slow = fill_gpu(0, table, ids, capacity_entries=capacity)
+        for evict, insert in steps:
+            evict = np.array(evict, dtype=np.int64)
+            insert = np.array(insert, dtype=np.int64)
+            apply_diff_step(fast, table, evict, insert)
+            _reference_step(slow, table, evict, insert)
+            assert np.array_equal(fast.offset_of, slow.offset_of)
+            assert np.array_equal(fast.data, slow.data)
+            assert np.array_equal(fast.checksums, slow.checksums)
+            assert fast.arena.used_slots == slow.arena.used_slots
+        # Slot reuse order: draining both arenas hands out the same slots.
+        drain = [
+            [store.arena.allocate() for _ in range(store.arena.free_slots)]
+            for store in (fast, slow)
+        ]
+        assert drain[0] == drain[1]

@@ -252,6 +252,34 @@ class TestTransactionalRollback:
             assert np.array_equal(cache.lookup(gpu, probe).values, pre_values[gpu])
         cache.check_integrity()
 
+    def test_failure_inside_a_step_leaves_no_half_applied_step(
+        self, cache, skewed_hotness, rng, monkeypatch
+    ):
+        """A step that fails partway must not touch the store: a half-applied
+        step is missing from the undo log, so the rollback could not
+        restore routing and would mask the original error."""
+        import repro.core.filler as filler_module
+
+        pre_map, probe, pre_values = self._snapshot(cache, rng)
+        real_checksums = filler_module.row_checksums
+        calls = {"n": 0}
+
+        def failing_checksums(values):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise RuntimeError("simulated failure inside step 2")
+            return real_checksums(values)
+
+        monkeypatch.setattr(filler_module, "row_checksums", failing_checksums)
+        refresher = Refresher(cache, RefreshConfig(update_batch_entries=32))
+        with pytest.raises(RuntimeError, match="inside step 2"):
+            refresher.refresh(partition_policy(skewed_hotness, 200, 4))
+        monkeypatch.undo()
+        assert np.array_equal(cache.source_map, pre_map)
+        assert cache.verify_integrity() == []
+        for gpu in range(4):
+            assert np.array_equal(cache.lookup(gpu, probe).values, pre_values[gpu])
+
     def test_interrupted_refresh_can_be_retried(self, cache, skewed_hotness, rng):
         refresher = Refresher(cache, RefreshConfig(update_batch_entries=32))
         target = partition_policy(skewed_hotness, 200, 4)

@@ -111,6 +111,28 @@ class TestChecksum:
         flipped.view(np.uint8)[0, pos] ^= np.uint8(1 << bit)
         assert row_checksums(flipped)[0] != before
 
+    @given(
+        rows=st.integers(min_value=0, max_value=6),
+        dim=st.integers(min_value=1, max_value=2 * D),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_matches_python_integer_reference(self, rows, dim, seed):
+        """The vectorized pass equals the definition evaluated with Python
+        integers: sum of byte_j * MULT**(j+1), mod 2**64."""
+        from repro.core.checksum import _MULT
+
+        values = make_rng(seed).standard_normal((rows, dim)).astype(np.float32)
+        mult, mod = int(_MULT), 2**64
+        expected = [
+            sum(
+                b * pow(mult, j + 1, mod)
+                for j, b in enumerate(row.tobytes())
+            ) % mod
+            for row in values
+        ]
+        assert row_checksums(values).tolist() == expected
+
 
 class TestScrubConvergence:
     @given(
